@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover cover-gate bench experiments fuzz examples metrics-smoke load-smoke ot-smoke chaos-smoke trace-smoke profile-smoke taint-smoke store-smoke store-bench store-soak hotpath clean
+.PHONY: all build vet lint test perfbench-test shapes race cover cover-gate bench experiments fuzz examples metrics-smoke load-smoke ot-smoke chaos-smoke trace-smoke profile-smoke taint-smoke store-smoke store-bench store-soak hotpath clean
 
 all: build vet lint test
 
@@ -29,6 +29,17 @@ taint-smoke:
 
 test:
 	$(GO) test ./...
+
+# The benchmark's self-tests. perfbench is its own module, so the root
+# `go test ./...` never runs them.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+# Machine shapes: the concurrency-heavy packages on 1- and 2-core
+# schedulers, repeated, so a CI box's core count cannot hide a timing bug.
+shapes:
+	GOMAXPROCS=1 $(GO) test -count=3 ./internal/mediator/ ./internal/e2e/ ./internal/store/
+	GOMAXPROCS=2 $(GO) test -count=3 ./internal/mediator/ ./internal/e2e/ ./internal/store/
 
 race:
 	$(GO) test -race ./...

@@ -67,7 +67,7 @@ var (
 	metricConflictResyncs = obs.NewCounter("privedit_mediator_conflict_resyncs_total",
 		"Rejected saves that fell back to a full refetch-and-resync.")
 	metricQueueCoalesced = obs.NewCounter("privedit_mediator_queue_coalesced_total",
-		"Saves folded into the pipeline queue tail because the queue was at max depth.")
+		"Saves folded into another pipeline queue entry: the tail at max depth, or the head at send.")
 )
 
 // PasswordProvider supplies the per-document password and encryption
@@ -103,7 +103,7 @@ type Stats struct {
 	Drains        int // queued degraded saves successfully replayed
 
 	QueuedSaves     int // saves accepted into a per-document pipeline queue
-	QueueCoalesced  int // saves folded into the queue tail at max depth
+	QueueCoalesced  int // saves folded into another queue entry (at max depth, or at send)
 	QueueDepth      int // saves currently queued across all documents
 	OTMerges        int // rejected saves repaired by delta.Transform catch-up
 	ConflictResyncs int // rejected saves that fell back to a full resync
@@ -172,7 +172,8 @@ const DefaultInflight = 4
 // server updates that interleaved (OT-first merge) instead of resyncing.
 // depth bounds the per-document queue (0 selects DefaultInflight); once
 // full, new saves coalesce into the queue tail so local editing never
-// blocks on a slow backend.
+// blocks on a slow backend. depth does not multiply round trips: each
+// writer turn composes everything queued into one save.
 func WithPipeline(depth int) Option {
 	return func(e *Extension) {
 		if depth <= 0 {

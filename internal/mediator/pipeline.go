@@ -93,6 +93,7 @@ type plState struct {
 	rejects  int  // consecutive permanent (non-conflict) rejections
 	closed   bool
 	catchup  bool   // an idle load asked the writer to fold in server changes
+	fetching bool   // the writer is running an idle catch-up fetch
 	seq      uint64 // save-id counter
 
 	// hist mirrors the server's catch-up protocol in version space sv: the
@@ -170,7 +171,7 @@ func (pl *plState) deltasSinceLocked(since int) (deltas []string, ok bool) {
 type SessionStats struct {
 	Pending         int  // saves currently queued (including in flight)
 	Enqueued        int  // saves accepted into the queue
-	Coalesced       int  // saves folded into the queue tail at max depth
+	Coalesced       int  // saves folded into another entry (at max depth, or at send)
 	Saved           int  // queue entries acknowledged by the server
 	OTMerges        int  // conflicts repaired by transforming the queue
 	ConflictResyncs int  // conflicts that fell back to a full resync
@@ -387,13 +388,11 @@ func (e *Extension) enqueueLocked(sess *session, ent *plEntry) {
 	pl := sess.pl
 	ent.id = e.nextSaveIDLocked(pl)
 	if len(pl.queue) >= e.pipeDepth {
-		ti := len(pl.queue) - 1
-		if ti > 0 || !pl.inflight {
-			// The tail is not the in-flight head: fold the new save into
-			// it. The merged entry gets the new save's identity — any
-			// cached transform of the old tail is discarded, and a shadow
-			// that had advanced past it re-aligns from the mirror.
-			t := pl.queue[ti]
+		t := pl.queue[len(pl.queue)-1]
+		if t.wire == "" {
+			// The tail was never sent: fold the new save into it. The
+			// merged entry gets the new save's identity, and a shadow that
+			// had advanced past the old tail re-aligns from the mirror.
 			if !t.full {
 				// The two deltas are consecutive (t.p ends where ent.p
 				// begins), so composition chains them in O(ops) — re-diffing
@@ -414,14 +413,15 @@ func (e *Extension) enqueueLocked(sess *session, ent *plEntry) {
 			}
 			t.after = ent.after
 			t.id = ent.id
-			t.wire, t.sentTransport, t.sentPlain = "", "", ""
 			pl.stats.Coalesced++
 			e.bump(func(s *Stats) { s.QueueCoalesced++ })
 			metricQueueCoalesced.Inc()
 			return
 		}
-		// depth 1 with the head in flight: briefly exceed the bound
-		// rather than stall the editor or corrupt an in-flight send.
+		// The tail is a head that was sent — in flight, or its outcome
+		// unknown after a failure. The server may already have applied it,
+		// so it must be retried byte-identical under its save id: exceed
+		// the bound by one rather than stall the editor or change it.
 	}
 	pl.queue = append(pl.queue, ent)
 	pl.stats.Enqueued++
@@ -646,10 +646,11 @@ func (e *Extension) repairLocked(ctx context.Context, sess *session, docID strin
 
 // mergeQueueLocked folds runs of adjacent delta entries into single
 // composed entries (full saves stay their own entries and break a run).
-// Nothing is in flight when this runs — the writer merges only while it
-// holds the head — so the head's wire cache can be discarded along with
-// everyone else's. Entries whose composition would exceed the
-// fragmentation bound are left split. Callers hold sess.mu.
+// Nothing is in flight when this runs, and the head is either unsent or
+// was just rejected — the writer merges only then — so the head's wire
+// cache can be discarded along with everyone else's. Entries whose
+// composition would exceed the fragmentation bound are left split.
+// Callers hold sess.mu.
 func (e *Extension) mergeQueueLocked(sess *session) {
 	pl := sess.pl
 	if len(pl.queue) < 2 {
@@ -738,12 +739,18 @@ func notifyIdleLocked(pl *plState) {
 	pl.idle = nil
 }
 
-// maybeNotifyIdleLocked releases Flush waiters only at full quiescence:
-// nothing queued, nothing in flight, and no catch-up pending — Flush is a
-// barrier against the session's whole pipeline, not just the save queue.
-// Callers hold sess.mu.
+// quiescentLocked reports full quiescence: nothing queued, nothing in
+// flight, and no catch-up pending or running — Flush is a barrier against
+// the session's whole pipeline, not just the save queue. Callers hold
+// sess.mu.
+func (pl *plState) quiescentLocked() bool {
+	return len(pl.queue) == 0 && !pl.inflight && !pl.catchup && !pl.fetching
+}
+
+// maybeNotifyIdleLocked releases Flush waiters once the pipeline is
+// quiescent. Callers hold sess.mu.
 func maybeNotifyIdleLocked(pl *plState) {
-	if len(pl.queue) == 0 && !pl.inflight && !pl.catchup {
+	if pl.quiescentLocked() {
 		notifyIdleLocked(pl)
 	}
 }
@@ -888,12 +895,13 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			// enqueued during the fetch are fine — repairLocked rebases
 			// whatever the queue holds, and only this goroutine moves the
 			// server mirrors.
-			pl.catchup = false
+			pl.catchup, pl.fetching = false, true
 			since, mirror0, baseURL := pl.srvVersion, pl.srvTransport, pl.baseURL
 			sess.mu.Unlock()
 			cctx := context.Background()
 			mirror, version, _, err := e.fetchServerState(cctx, baseURL, docID, since, mirror0)
 			sess.mu.Lock()
+			pl.fetching = false
 			e.recordLocked(cctx, sess, err == nil)
 			if !pl.closed && err == nil && version != pl.srvVersion {
 				_ = e.repairLocked(cctx, sess, docID, mirror, version)
@@ -907,6 +915,14 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 
 		ctx, root := trace.Default.Root(context.Background(), trace.SpanWriterDrain)
 		root.Annotate("doc", docID)
+		if pl.queue[0].wire == "" {
+			// The send rule: a head that was never sent goes out with
+			// everything queued behind it composed in, so a burst costs one
+			// round trip, not one per entry. A head with a cached wire was
+			// sent before with an unknown outcome; it is retried
+			// byte-identical under its save id and nothing merges into it.
+			e.mergeQueueLocked(sess)
+		}
 		ent := pl.queue[0]
 		if err := e.transformEntryLocked(ctx, sess, docID, ent); err != nil {
 			root.Annotate("error", "transform")
@@ -1078,7 +1094,7 @@ func (e *Extension) flushSession(ctx context.Context, docID string) error {
 	}
 	sess.mu.Lock()
 	pl := sess.pl
-	if pl == nil || (len(pl.queue) == 0 && !pl.inflight && !pl.catchup) {
+	if pl == nil || pl.quiescentLocked() {
 		sess.mu.Unlock()
 		return nil
 	}

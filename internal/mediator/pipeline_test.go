@@ -2,11 +2,15 @@ package mediator
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,7 +70,7 @@ func newPipeWorld(t *testing.T, docID string, seed int64, stegoOn bool, depth in
 		if depth > 0 {
 			extOpts = append(extOpts, WithPipeline(depth))
 		}
-		w.gates[i] = &gatedTransport{base: w.ts.Client().Transport}
+		w.gates[i] = &gatedTransport{base: w.ts.Client().Transport, arrived: make(chan struct{}, 1)}
 		w.exts[i] = New(w.gates[i], StaticPassword("fuzz-pw", opts), extOpts...)
 		w.clients[i] = gdocs.NewClient(w.exts[i].Client(), w.ts.URL, docID)
 	}
@@ -80,8 +84,8 @@ func newPipeWorld(t *testing.T, docID string, seed int64, stegoOn bool, depth in
 // same edit script pushed through the legacy synchronous path, where
 // every conflict is resolved by the client's fetch-merge-retry Sync.
 // The matrix covers both codecs and both queue regimes: depth 1 forces
-// every burst to coalesce through delta.Compose, depth 8 keeps entries
-// distinct so the writer transforms them one by one.
+// every burst to coalesce through delta.Compose at enqueue, depth 8 keeps
+// many entries queued so the writer composes them at send.
 func TestPipelineConvergesWithResyncOracle(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -275,9 +279,10 @@ func convergePipe(t *testing.T, w *pipeWorld, docID string, stegoOn bool, seed i
 // gatedTransport blocks every round trip while the gate is closed,
 // simulating a backend that stops answering without erroring.
 type gatedTransport struct {
-	base http.RoundTripper
-	mu   sync.Mutex
-	gate chan struct{} // non-nil while closed; receive unblocks
+	base    http.RoundTripper
+	mu      sync.Mutex
+	gate    chan struct{} // non-nil while closed; receive unblocks
+	arrived chan struct{} // optional, buffered(1): signalled when a round trip blocks
 }
 
 func (g *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -285,6 +290,10 @@ func (g *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	ch := g.gate
 	g.mu.Unlock()
 	if ch != nil {
+		select {
+		case g.arrived <- struct{}{}:
+		default:
+		}
 		select {
 		case <-ch:
 		case <-req.Context().Done():
@@ -294,7 +303,16 @@ func (g *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return g.base.RoundTrip(req)
 }
 
-func (g *gatedTransport) close() { g.mu.Lock(); g.gate = make(chan struct{}); g.mu.Unlock() }
+func (g *gatedTransport) close() {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	select {
+	case <-g.arrived: // forget a round trip that blocked at an earlier closing
+	default:
+	}
+	g.mu.Unlock()
+}
+
 func (g *gatedTransport) open() {
 	g.mu.Lock()
 	ch := g.gate
@@ -387,5 +405,286 @@ func TestSlowBackendNeverBlocksLocalEdits(t *testing.T) {
 	}
 	if client.Text() != want {
 		t.Errorf("client text after drain = %q, want %q", client.Text(), want)
+	}
+}
+
+// saveTap is a base transport that records every save (POST /Doc) that
+// reaches it — its idempotency token and body — and lets a test decide
+// each save's fate. Other requests pass straight through.
+type saveTap struct {
+	base http.RoundTripper
+
+	mu    sync.Mutex
+	saves []tappedSave
+	// onSave, when set, handles save n (numbered from 1 since arm): it may
+	// block, forward the save, drop the server's response, or fail it.
+	onSave func(n int, forward func() (*http.Response, error)) (*http.Response, error)
+}
+
+type tappedSave struct{ id, body string }
+
+var errLostResponse = errors.New("saveTap: response lost")
+
+func (s *saveTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method != http.MethodPost || req.URL.Path != gdocs.PathDoc {
+		return s.base.RoundTrip(req)
+	}
+	raw, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.saves = append(s.saves, tappedSave{id: req.Header.Get(gdocs.HeaderSaveID), body: string(raw)})
+	n, onSave := len(s.saves), s.onSave
+	s.mu.Unlock()
+	forward := func() (*http.Response, error) {
+		fwd := req.Clone(req.Context())
+		fwd.Body = io.NopCloser(strings.NewReader(string(raw)))
+		fwd.ContentLength = int64(len(raw))
+		return s.base.RoundTrip(fwd)
+	}
+	if onSave == nil {
+		return forward()
+	}
+	return onSave(n, forward)
+}
+
+// arm forgets the saves seen so far and installs the fate function.
+func (s *saveTap) arm(onSave func(n int, forward func() (*http.Response, error)) (*http.Response, error)) {
+	s.mu.Lock()
+	s.saves, s.onSave = nil, onSave
+	s.mu.Unlock()
+}
+
+func (s *saveTap) seen() []tappedSave {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]tappedSave(nil), s.saves...)
+}
+
+// forwardLosingResponse sends the save to the server and reports a lost
+// response: the server applied it, the writer cannot know.
+func forwardLosingResponse(forward func() (*http.Response, error)) (*http.Response, error) {
+	if resp, err := forward(); err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	return nil, errLostResponse
+}
+
+// tapWorld is one author's pipelined extension over a saveTap, with the
+// document created from base and its first save acknowledged.
+func tapWorld(t *testing.T, docID, base string, depth int) (*gdocs.Server, *saveTap, *Extension, *gdocs.Client) {
+	t.Helper()
+	server := gdocs.NewServer()
+	ts := httptest.NewServer(server)
+	t.Cleanup(ts.Close)
+	tap := &saveTap{base: ts.Client().Transport}
+	opts := core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8, Nonces: crypt.NewSeededNonceSource(4242)}
+	ext := New(tap, StaticPassword("tap-pw", opts), WithPipeline(depth))
+	client := gdocs.NewClient(ext.Client(), ts.URL, docID)
+	if err := client.Create(); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	client.SetText(base)
+	if err := client.Save(); err != nil {
+		t.Fatalf("base save: %v", err)
+	}
+	flushOrFail(t, ext, docID)
+	return server, tap, ext, client
+}
+
+func flushOrFail(t *testing.T, ext *Extension, docID string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := ext.Session(docID).Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+}
+
+func typeAndSave(t *testing.T, client *gdocs.Client, pos int, text string) {
+	t.Helper()
+	if err := client.Insert(pos, text); err != nil {
+		t.Fatalf("insert %q at %d: %v", text, pos, err)
+	}
+	if err := client.Save(); err != nil {
+		t.Fatalf("save %q: %v", text, err)
+	}
+}
+
+// TestQueuedBurstIsOneSave pins the writer's send rule: keystrokes that
+// queue up behind an in-flight save — more of them than the queue depth —
+// go out as exactly one POST once that save is acknowledged.
+func TestQueuedBurstIsOneSave(t *testing.T) {
+	const docID = "burst-doc"
+	server, tap, ext, client := tapWorld(t, docID, "a burst queues behind one save", 4)
+
+	arrived, release := make(chan struct{}), make(chan struct{})
+	tap.arm(func(n int, forward func() (*http.Response, error)) (*http.Response, error) {
+		if n == 1 {
+			arrived <- struct{}{}
+			<-release
+		}
+		return forward()
+	})
+	typeAndSave(t, client, 0, "0")
+	<-arrived // the first keystroke's save is in flight
+	const burst = 12
+	for i := 1; i <= burst; i++ {
+		typeAndSave(t, client, i, string(rune('a'+i)))
+	}
+	close(release)
+	flushOrFail(t, ext, docID)
+
+	if saves := tap.seen(); len(saves) != 2 {
+		t.Errorf("%d keystrokes behind an in-flight save took %d POSTs after it, want 1", burst, len(saves)-1)
+	}
+	if got, want := decryptStored(t, server, docID, "tap-pw", false), client.Text(); got != want {
+		t.Errorf("server text %q, client text %q", got, want)
+	}
+}
+
+// TestRetryResendsIdenticalSave: after an infrastructure failure whose
+// outcome is unknown (the server applied the save, the response was
+// lost), the writer re-sends the identical body under the same save id,
+// and saves queued meanwhile go out separately instead of being merged
+// into the retry — the server's replay detection would otherwise ack the
+// merged save without applying the new edits.
+func TestRetryResendsIdenticalSave(t *testing.T) {
+	const docID = "retry-doc"
+	server, tap, ext, client := tapWorld(t, docID, "retry me", 4)
+
+	arrived, release := make(chan struct{}), make(chan struct{})
+	tap.arm(func(n int, forward func() (*http.Response, error)) (*http.Response, error) {
+		if n == 1 {
+			defer func() { arrived <- struct{}{}; <-release }()
+			return forwardLosingResponse(forward)
+		}
+		return forward()
+	})
+	typeAndSave(t, client, 0, "A")
+	<-arrived // applied on the server; its response is about to be lost
+	for i, s := range []string{"B", "C", "D"} {
+		typeAndSave(t, client, 1+i, s)
+	}
+	close(release)
+	flushOrFail(t, ext, docID)
+
+	saves := tap.seen()
+	if len(saves) != 3 {
+		t.Fatalf("saw %d POSTs, want 3 (lost save, its retry, the queued keystrokes)", len(saves))
+	}
+	if saves[1].id != saves[0].id || saves[1].body != saves[0].body {
+		t.Errorf("retry differs from the lost save: id %q vs %q, body equal %v",
+			saves[1].id, saves[0].id, saves[1].body == saves[0].body)
+	}
+	if saves[2].id == saves[0].id {
+		t.Error("queued keystrokes reused the retried save's id")
+	}
+	if got, want := decryptStored(t, server, docID, "tap-pw", false), "ABCDretry me"; got != want || client.Text() != want {
+		t.Errorf("server text %q, client text %q, want %q", got, client.Text(), want)
+	}
+}
+
+// TestDepthOneKeepsLostSaveIntact is the regression test for enqueue
+// coalescing at depth 1: a keystroke typed while the writer backs off
+// from a save whose response was lost must not be folded into that save.
+// Folding gave the save a new id; since the lost attempt had in fact
+// applied, the merged save conflicted and the repair rebased it over its
+// own earlier edit, storing "helloAAB world".
+func TestDepthOneKeepsLostSaveIntact(t *testing.T) {
+	const docID = "depth1-doc"
+	server, tap, ext, client := tapWorld(t, docID, "hello world", 1)
+
+	var healed atomic.Bool
+	failing := make(chan struct{}, 1)
+	tap.arm(func(n int, forward func() (*http.Response, error)) (*http.Response, error) {
+		switch {
+		case n == 1:
+			return forwardLosingResponse(forward)
+		case healed.Load():
+			return forward()
+		}
+		if n >= 4 {
+			select {
+			case failing <- struct{}{}:
+			default:
+			}
+		}
+		return nil, errInjected
+	})
+	typeAndSave(t, client, 5, "A")
+	<-failing
+	// Type B while the writer sleeps in its backoff, not mid-send.
+	waitWriterParked(t, ext, docID)
+	typeAndSave(t, client, 6, "B")
+	healed.Store(true)
+	flushOrFail(t, ext, docID)
+
+	if got, want := decryptStored(t, server, docID, "tap-pw", false), "helloAB world"; got != want || client.Text() != want {
+		t.Errorf("server text %q, client text %q, want %q", got, client.Text(), want)
+	}
+}
+
+// waitWriterParked waits until docID's writer is not sending.
+func waitWriterParked(t *testing.T, ext *Extension, docID string) {
+	t.Helper()
+	ext.mu.RLock()
+	sess := ext.sessions[docID]
+	ext.mu.RUnlock()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sess.mu.Lock()
+		inflight := sess.pl.inflight
+		sess.mu.Unlock()
+		if !inflight {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("writer never left its send")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlushWaitsForRunningCatchup: a load on a quiet session starts an
+// idle catch-up fetch; a Flush issued while that fetch is on the wire
+// must wait for it, so Refresh → Flush → Refresh reads the other author's
+// save. The catch-up is held at a gate that opens only after Flush has
+// been called.
+func TestFlushWaitsForRunningCatchup(t *testing.T) {
+	const docID = "catchup-doc"
+	w := newPipeWorld(t, docID, 77, false, 4)
+	a, b := w.clients[0], w.clients[1]
+	if err := a.Create(); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	a.SetText("shared base text")
+	if err := a.Save(); err != nil {
+		t.Fatalf("base save: %v", err)
+	}
+	flushOrFail(t, w.exts[0], docID)
+	if err := b.Load(); err != nil {
+		t.Fatalf("load b: %v", err)
+	}
+	flushOrFail(t, w.exts[1], docID)
+	typeAndSave(t, b, 0, "B wrote this. ")
+	flushOrFail(t, w.exts[1], docID)
+
+	gate := w.gates[0]
+	gate.close()
+	if err := a.Refresh(); err != nil { // served locally; asks for a catch-up
+		t.Fatalf("refresh: %v", err)
+	}
+	<-gate.arrived // the catch-up fetch is on the wire
+	time.AfterFunc(20*time.Millisecond, gate.open)
+	flushOrFail(t, w.exts[0], docID)
+	if err := a.Refresh(); err != nil {
+		t.Fatalf("refresh after flush: %v", err)
+	}
+	if a.Text() != b.Text() {
+		t.Errorf("after Refresh, Flush, Refresh author A reads %q, author B wrote %q", a.Text(), b.Text())
 	}
 }

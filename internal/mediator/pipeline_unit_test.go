@@ -2,11 +2,13 @@ package mediator
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"privedit/internal/core"
 	"privedit/internal/crypt"
+	"privedit/internal/delta"
 )
 
 func unitExtension() *Extension {
@@ -180,5 +182,102 @@ func TestReloadShadowLockedEmptyMirror(t *testing.T) {
 	}
 	if sess.ed != nil {
 		t.Error("empty mirror left a shadow editor behind")
+	}
+}
+
+// queueEntry builds a delta entry applying p to before.
+func queueEntry(t *testing.T, id, before string, p delta.Delta) *plEntry {
+	t.Helper()
+	after, err := p.Apply(before)
+	if err != nil {
+		t.Fatalf("entry %s: %v", id, err)
+	}
+	return &plEntry{p: p, before: before, after: after, id: id}
+}
+
+func TestEnqueueFoldsOnlyIntoUnsentTail(t *testing.T) {
+	e := unitExtension()
+	e.pipeDepth = 1
+	for _, sent := range []bool{false, true} {
+		head := queueEntry(t, "head", "hello world", delta.Delta{delta.RetainOp(5), delta.InsertOp("A")})
+		if sent {
+			// A send whose outcome is unknown: not in flight any more, but
+			// its cached wire must go out again unchanged.
+			head.wire, head.sentPlain = "sent-wire", head.after
+		}
+		sess := &session{pl: &plState{queue: []*plEntry{head}}}
+		sess.mu.Lock()
+		e.enqueueLocked(sess, queueEntry(t, "", head.after, delta.Delta{delta.RetainOp(6), delta.InsertOp("B")}))
+		sess.mu.Unlock()
+
+		q := sess.pl.queue
+		if !sent {
+			if len(q) != 1 || q[0].after != "helloAB world" {
+				t.Errorf("unsent tail: queue %d entries, head after %q; want the keystroke folded in", len(q), q[0].after)
+			}
+			continue
+		}
+		if len(q) != 2 {
+			t.Fatalf("sent tail: queue %d entries, want the keystroke appended", len(q))
+		}
+		if q[0].id != "head" || q[0].wire != "sent-wire" || q[0].after != "helloA world" {
+			t.Errorf("sent head was changed: %+v", q[0])
+		}
+	}
+}
+
+func TestMergeQueueComposesIntoHead(t *testing.T) {
+	e := unitExtension()
+	e1 := queueEntry(t, "head", "abc", delta.Delta{delta.InsertOp("1")})
+	e2 := queueEntry(t, "second", e1.after, delta.Delta{delta.RetainOp(4), delta.InsertOp("2")})
+	e3 := queueEntry(t, "third", e2.after, delta.Delta{delta.RetainOp(2), delta.DeleteOp(1)})
+	sess := &session{pl: &plState{queue: []*plEntry{e1, e2, e3}}}
+	sess.mu.Lock()
+	e.mergeQueueLocked(sess)
+	sess.mu.Unlock()
+
+	q := sess.pl.queue
+	if len(q) != 1 {
+		t.Fatalf("queue %d entries after merge, want 1", len(q))
+	}
+	got, err := q[0].p.Apply("abc")
+	if err != nil || got != e3.after || q[0].after != e3.after || q[0].id != "head" {
+		t.Errorf("merged head = %+v, applies to %q (%v); want after %q under id head", q[0], got, err, e3.after)
+	}
+	if sess.pl.stats.Coalesced != 2 {
+		t.Errorf("Coalesced = %d, want 2", sess.pl.stats.Coalesced)
+	}
+}
+
+func TestMergeQueueSplitsPastOpBound(t *testing.T) {
+	e := unitExtension()
+	base := strings.Repeat("x", 600)
+	// Two heavily fragmented deltas whose inserts interleave: each stays
+	// under the bound, their composition does not.
+	var p1, p2 delta.Delta
+	for i := 0; i < 150; i++ {
+		p1 = append(p1, delta.RetainOp(2), delta.InsertOp("a"))
+		p2 = append(p2, delta.RetainOp(1), delta.InsertOp("b"), delta.RetainOp(2))
+	}
+	e1 := queueEntry(t, "head", base, p1)
+	e2 := queueEntry(t, "second", e1.after, p2)
+	e3 := queueEntry(t, "third", e2.after, delta.Delta{delta.InsertOp("c")})
+	if q, err := delta.Compose(e1.p, e2.p, len(base)); err != nil || len(q) <= maxCoalescedOps {
+		t.Fatalf("precondition: composed %d ops (%v), want more than %d", len(q), err, maxCoalescedOps)
+	}
+	sess := &session{pl: &plState{queue: []*plEntry{e1, e2, e3}}}
+	sess.mu.Lock()
+	e.mergeQueueLocked(sess)
+	sess.mu.Unlock()
+
+	q := sess.pl.queue
+	if len(q) != 2 {
+		t.Fatalf("queue %d entries after merge, want 2 (split at the op bound)", len(q))
+	}
+	if q[0].after != e1.after || q[1].before != e1.after || q[1].after != e3.after {
+		t.Error("split merge lost the entries' lineage")
+	}
+	if got, err := q[1].p.Apply(q[1].before); err != nil || got != e3.after {
+		t.Errorf("second entry applies to %q (%v), want %q", got, err, e3.after)
 	}
 }
