@@ -72,7 +72,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzNormalizeIdempotent -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -fuzz=FuzzLoadTransport -fuzztime=$(FUZZTIME) ./internal/blockdoc/
 	$(GO) test -fuzz=FuzzTransformDelta -fuzztime=$(FUZZTIME) ./internal/blockdoc/
-	$(GO) test -fuzz=FuzzFingerEquivalence -fuzztime=$(FUZZTIME) ./internal/skiplist/
+	$(GO) test -fuzz=FuzzListMatchesReference -fuzztime=$(FUZZTIME) ./internal/skiplist/
 	$(GO) test -fuzz=FuzzDiff -fuzztime=$(FUZZTIME) ./internal/diff/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/stego/
 	$(GO) test -fuzz=FuzzDirective -fuzztime=$(FUZZTIME) ./internal/lint/
@@ -164,8 +164,9 @@ SOAK_DURATION ?= 30s
 store-soak:
 	$(GO) run ./cmd/privedit-load -store-soak -duration $(SOAK_DURATION) -workers 4
 
-# Hot-path benchmark: finger cache + delta coalescing vs baseline on the
-# burst-edit workload, with byte-identity cross-checks between variants.
+# Hot-path benchmark: delta coalescing vs baseline on the burst-edit
+# workload, serial and batched crypto kernels, with a plaintext-equality
+# check across all variants and a byte-identity check between kernels.
 # Writes /tmp/BENCH_hotpath.json (the committed BENCH_hotpath.json is one
 # such run at default scale).
 hotpath:

@@ -1,18 +1,15 @@
-// Hot-path microbenchmark: quantifies the two profiling-driven
-// optimizations on the transform_delta pipeline — the skip list's
-// search-finger cache and plaintext delta coalescing — on a burst-edit
-// workload shaped like the paper's Figure 6 typing traces (runs of
-// single-character insertions and corrections at a moving cursor).
+// Hot-path microbenchmark: quantifies plaintext delta coalescing, the
+// profiling-driven optimization on the transform_delta pipeline, on a
+// burst-edit workload shaped like the paper's Figure 6 typing traces (runs
+// of single-character insertions and corrections at a moving cursor).
 //
-// Five variants replay the identical op tape on identically seeded
-// documents: baseline (both off), finger-only, coalesce-only, and full —
-// all four pinned to the reference serial crypto kernel (Workers=1) so
-// the toggles are measured against a fixed kernel — plus batch, which is
-// full on the batched arena kernel (Workers=0). The finger cache must be
-// invisible in the bytes — the finger-only transport is asserted identical
-// to the baseline's, and full to coalesce-only. The kernel switch must
-// also be invisible — batch is asserted byte-identical to full, pinning
-// the serial/batched ciphertext equivalence on the editing hot path.
+// Three variants replay the identical op tape on identically seeded
+// documents: baseline (coalescing off) and coalesce (coalescing on), both
+// pinned to the reference serial crypto kernel (Workers=1) so the toggle is
+// measured against a fixed kernel, plus batch, which is coalesce on the
+// batched arena kernel (Workers=0). The kernel switch must be invisible in
+// the bytes — batch is asserted byte-identical to coalesce, pinning the
+// serial/batched ciphertext equivalence on the editing hot path.
 // Coalescing legitimately changes which ciphertext deltas produce the
 // document (fewer splices consume fewer nonces), so across that toggle
 // only the final plaintext is asserted equal.
@@ -23,7 +20,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	// The op tape must be identical across the four variants and across
+	// The op tape must be identical across the variants and across
 	// runs, so it is drawn from a seeded deterministic generator. Nothing
 	// here feeds key or nonce material: the codec's nonces come from a
 	// crypt.NonceSource constructed separately.
@@ -70,7 +67,6 @@ func (c HotpathConfig) withDefaults() HotpathConfig {
 // HotpathRow is one variant's measurements.
 type HotpathRow struct {
 	Variant     string  `json:"variant"`
-	FingerCache bool    `json:"finger_cache"`
 	Coalesce    bool    `json:"coalesce"`
 	Workers     int     `json:"workers"`
 	Ops         int     `json:"ops"`
@@ -81,8 +77,8 @@ type HotpathRow struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	CipherBytes int     `json:"cipher_delta_bytes"`
-	// TransportSHA256 fingerprints the final serialized container; equal
-	// fingerprints prove byte-identical ciphertext.
+	// TransportSHA256 is a digest of the final serialized container; equal
+	// digests prove byte-identical ciphertext.
 	TransportSHA256 string `json:"transport_sha256"`
 }
 
@@ -94,7 +90,7 @@ type HotpathArtifact struct {
 	BurstLen   int          `json:"burst_len"`
 	Seed       int64        `json:"seed"`
 	Rows       []HotpathRow `json:"rows"`
-	// Improvements of the full variant over the baseline, percent.
+	// Improvements of the coalesce variant over the baseline, percent.
 	P95ImprovementPct    float64 `json:"p95_improvement_pct"`
 	AllocsImprovementPct float64 `json:"allocs_improvement_pct"`
 }
@@ -114,9 +110,9 @@ type hotpathOp struct {
 }
 
 // hotpathTape generates the deterministic burst-edit op tape. Each burst
-// opens at a cursor that usually stays local to the previous one (the
-// finger cache's target pattern) and mixes single-character insertions with
-// backspace-style corrections (the coalescer's target pattern).
+// opens at a cursor that usually stays local to the previous one and mixes
+// single-character insertions with backspace-style corrections (the
+// coalescer's target pattern).
 func hotpathTape(cfg HotpathConfig, docLen int) []hotpathOp {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ops := make([]hotpathOp, 0, cfg.Ops)
@@ -150,7 +146,7 @@ func hotpathTape(cfg HotpathConfig, docLen int) []hotpathOp {
 // hotpathVariant replays the tape on a fresh, identically seeded document.
 // workers selects the crypto kernel: 1 pins the reference serial kernel,
 // 0 the batched arena kernel.
-func hotpathVariant(cfg HotpathConfig, name string, finger, coalesce bool, workers int, text string, tape []hotpathOp) (HotpathRow, string, error) {
+func hotpathVariant(cfg HotpathConfig, name string, coalesce bool, workers int, text string, tape []hotpathOp) (HotpathRow, string, error) {
 	key := make([]byte, crypt.KeySize)
 	for i := range key {
 		key[i] = byte(i * 7)
@@ -170,7 +166,6 @@ func hotpathVariant(cfg HotpathConfig, name string, finger, coalesce bool, worke
 	if err := doc.LoadPlaintext(text); err != nil {
 		return HotpathRow{}, "", err
 	}
-	doc.SetFinger(finger)
 	doc.SetCoalesce(coalesce)
 
 	var lat Sample
@@ -196,7 +191,6 @@ func hotpathVariant(cfg HotpathConfig, name string, finger, coalesce bool, worke
 	sum := sha256.Sum256([]byte(transport))
 	row := HotpathRow{
 		Variant:         name,
-		FingerCache:     finger,
 		Coalesce:        coalesce,
 		Workers:         workers,
 		Ops:             len(tape),
@@ -212,7 +206,7 @@ func hotpathVariant(cfg HotpathConfig, name string, finger, coalesce bool, worke
 	return row, doc.Plaintext(), nil
 }
 
-// Hotpath runs all five variants and cross-checks their equivalence.
+// Hotpath runs all three variants and cross-checks their equivalence.
 func Hotpath(cfg HotpathConfig) (HotpathArtifact, error) {
 	cfg = cfg.withDefaults()
 	gen := workload.NewGen(cfg.Seed)
@@ -220,18 +214,16 @@ func Hotpath(cfg HotpathConfig) (HotpathArtifact, error) {
 	tape := hotpathTape(cfg, len(text))
 
 	variants := []struct {
-		name             string
-		finger, coalesce bool
-		workers          int
+		name     string
+		coalesce bool
+		workers  int
 	}{
-		{"baseline", false, false, 1},
-		{"finger", true, false, 1},
-		{"coalesce", false, true, 1},
-		{"full", true, true, 1},
-		{"batch", true, true, 0},
+		{"baseline", false, 1},
+		{"coalesce", true, 1},
+		{"batch", true, 0},
 	}
 	art := HotpathArtifact{
-		Title:      "Hot path: finger cache + delta coalescing on burst edits",
+		Title:      "Hot path: delta coalescing on burst edits",
 		DocChars:   cfg.DocChars,
 		BlockChars: cfg.BlockChars,
 		BurstLen:   cfg.BurstLen,
@@ -243,13 +235,13 @@ func Hotpath(cfg HotpathConfig) (HotpathArtifact, error) {
 	if len(warm) > 200 {
 		warm = warm[:200]
 	}
-	if _, _, err := hotpathVariant(cfg, "warmup", false, false, 1, text, warm); err != nil {
+	if _, _, err := hotpathVariant(cfg, "warmup", false, 1, text, warm); err != nil {
 		return art, err
 	}
 
 	plains := make([]string, len(variants))
 	for i, v := range variants {
-		row, plain, err := hotpathVariant(cfg, v.name, v.finger, v.coalesce, v.workers, text, tape)
+		row, plain, err := hotpathVariant(cfg, v.name, v.coalesce, v.workers, text, tape)
 		if err != nil {
 			return art, err
 		}
@@ -257,32 +249,24 @@ func Hotpath(cfg HotpathConfig) (HotpathArtifact, error) {
 		plains[i] = plain
 	}
 
-	// Equivalence: every variant converges to the same plaintext; toggling
-	// only the finger cache leaves the serialized ciphertext byte-identical.
+	// Equivalence: every variant converges to the same plaintext; switching
+	// only the crypto kernel leaves the serialized ciphertext byte-identical.
 	for i := 1; i < len(plains); i++ {
 		if plains[i] != plains[0] {
 			return art, fmt.Errorf("hotpath: variant %s plaintext diverged from baseline", art.Rows[i].Variant)
 		}
 	}
-	if art.Rows[1].TransportSHA256 != art.Rows[0].TransportSHA256 {
-		return art, fmt.Errorf("hotpath: finger cache changed the ciphertext (%s vs %s)",
-			art.Rows[1].TransportSHA256, art.Rows[0].TransportSHA256)
-	}
-	if art.Rows[3].TransportSHA256 != art.Rows[2].TransportSHA256 {
-		return art, fmt.Errorf("hotpath: finger cache changed the coalesced ciphertext (%s vs %s)",
-			art.Rows[3].TransportSHA256, art.Rows[2].TransportSHA256)
-	}
-	if art.Rows[4].TransportSHA256 != art.Rows[3].TransportSHA256 {
+	if art.Rows[2].TransportSHA256 != art.Rows[1].TransportSHA256 {
 		return art, fmt.Errorf("hotpath: batched kernel changed the ciphertext (%s vs %s)",
-			art.Rows[4].TransportSHA256, art.Rows[3].TransportSHA256)
+			art.Rows[2].TransportSHA256, art.Rows[1].TransportSHA256)
 	}
 
-	base, full := art.Rows[0], art.Rows[3]
+	base, coal := art.Rows[0], art.Rows[1]
 	if base.P95Us > 0 {
-		art.P95ImprovementPct = 100 * (base.P95Us - full.P95Us) / base.P95Us
+		art.P95ImprovementPct = 100 * (base.P95Us - coal.P95Us) / base.P95Us
 	}
 	if base.AllocsPerOp > 0 {
-		art.AllocsImprovementPct = 100 * (base.AllocsPerOp - full.AllocsPerOp) / base.AllocsPerOp
+		art.AllocsImprovementPct = 100 * (base.AllocsPerOp - coal.AllocsPerOp) / base.AllocsPerOp
 	}
 	return art, nil
 }
@@ -297,7 +281,7 @@ func (a HotpathArtifact) String() string {
 		s += fmt.Sprintf("  %-10s %9.0f %9.1f %9.1f %11.1f %12.0f  %s\n",
 			r.Variant, r.NsPerOp, r.P95Us, r.P99Us, r.AllocsPerOp, r.BytesPerOp, r.TransportSHA256)
 	}
-	s += fmt.Sprintf("  full vs baseline: p95 %.1f%% better, allocs/op %.1f%% better\n",
+	s += fmt.Sprintf("  coalesce vs baseline: p95 %.1f%% better, allocs/op %.1f%% better\n",
 		a.P95ImprovementPct, a.AllocsImprovementPct)
 	return s
 }

@@ -81,11 +81,6 @@ func New(codec Codec, blockChars int, salt [SaltLen]byte, keyCheck [KeyCheckLen]
 // serialized container is identical either way.
 func (d *Document) SetWorkers(n int) { d.workers = n }
 
-// SetFinger toggles the block index's search-finger cache (on by default).
-// The cache is an internal accelerator — search results and serialized
-// bytes are identical either way; the toggle exists for benchmarks.
-func (d *Document) SetFinger(enabled bool) { d.list.SetFinger(enabled) }
-
 // SetCoalesce toggles delta coalescing in TransformDelta (on by default).
 // Coalescing never changes the resulting document, only how many splices —
 // and therefore which ciphertext delta — produce it; turning it off exists

@@ -117,7 +117,7 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 			if err := c.Sync(); err != nil {
 				_ = c.Load()
 			}
-			if !ext.Degraded(docID) && !c.Dirty() {
+			if !ext.Session(docID).Degraded() && !c.Dirty() {
 				settled = true
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -250,7 +250,7 @@ func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 		c := gdocs.NewClient(ext.Client(), ts.URL, docID)
 		settled := false
 		for attempt := 0; attempt < 20 && !settled; attempt++ {
-			if err := c.Load(); err == nil && !ext.Degraded(docID) {
+			if err := c.Load(); err == nil && !ext.Session(docID).Degraded() {
 				settled = true
 			}
 			time.Sleep(2 * time.Millisecond)

@@ -72,7 +72,7 @@ func TestConcurrentSessionsDistinctDocs(t *testing.T) {
 		}
 	}
 
-	if got := ext.Sessions(); got != sessions {
+	if got := ext.SessionCount(); got != sessions {
 		t.Errorf("extension manages %d sessions, want %d", got, sessions)
 	}
 

@@ -143,8 +143,7 @@ func TestAdmissionRetriesExhausted(t *testing.T) {
 }
 
 // TestSessionHandle exercises the Session handle surface end to end:
-// DocID, Editor/Degraded/Stats before and after traffic, Flush, Close,
-// and the deprecated Extension-level accessors they replace.
+// DocID, Editor/Degraded/Stats before and after traffic, Flush and Close.
 func TestSessionHandle(t *testing.T) {
 	server := gdocs.NewServer()
 	ts := httptest.NewServer(server)
@@ -186,17 +185,14 @@ func TestSessionHandle(t *testing.T) {
 	if s.Editor() == nil {
 		t.Error("Editor nil after mediated save")
 	}
-	if ext.Editor("handle-doc") == nil { // deprecated path
-		t.Error("Extension.Editor nil after mediated save")
+	if ext.Session("handle-doc").Editor() != s.Editor() {
+		t.Error("a second handle sees a different Editor")
 	}
-	if s.Degraded() || ext.Degraded("handle-doc") {
+	if s.Degraded() || ext.Session("handle-doc").Degraded() {
 		t.Error("healthy session reported degraded")
 	}
 	if n := ext.SessionCount(); n != 1 {
 		t.Errorf("SessionCount = %d, want 1", n)
-	}
-	if n := ext.Sessions(); n != 1 { // deprecated alias
-		t.Errorf("Sessions() = %d, want 1", n)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -216,9 +212,9 @@ func TestSessionHandle(t *testing.T) {
 	}
 }
 
-// TestNewWithMitigator covers the deprecated positional constructor, with
-// and without a mitigator.
-func TestNewWithMitigator(t *testing.T) {
+// TestWithMitigatorOption covers the WithMitigator option, with and without
+// a mitigator.
+func TestWithMitigatorOption(t *testing.T) {
 	server := gdocs.NewServer()
 	ts := httptest.NewServer(server)
 	t.Cleanup(ts.Close)
@@ -229,7 +225,7 @@ func TestNewWithMitigator(t *testing.T) {
 	}
 	mit := covert.New(covert.Config{CanonicalizeDeltas: true}, crypt.NewSeededNonceSource(12))
 	for name, m := range map[string]*covert.Mitigator{"nil": nil, "set": mit} {
-		ext := NewWithMitigator(ts.Client().Transport, StaticPassword("hunter2", opts), m)
+		ext := New(ts.Client().Transport, StaticPassword("hunter2", opts), WithMitigator(m))
 		client := gdocs.NewClient(ext.Client(), ts.URL, "mitigated-"+name)
 		if err := client.Create(); err != nil {
 			t.Fatalf("%s: create: %v", name, err)

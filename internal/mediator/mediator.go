@@ -97,10 +97,10 @@ type Stats struct {
 	Retries          int // retry attempts beyond the first try
 	RetryGiveups     int // round trips that exhausted the retry budget
 	AdmissionRetries int // retries caused by typed admission rejects (429/503 + HeaderRetryable)
-	BreakerTrips  int // per-document breakers tripped open (closed→open)
-	DegradedSaves int // saves absorbed locally while the breaker was open
-	DegradedLoads int // loads served from local state while open
-	Drains        int // queued degraded saves successfully replayed
+	BreakerTrips     int // per-document breakers tripped open (closed→open)
+	DegradedSaves    int // saves absorbed locally while the breaker was open
+	DegradedLoads    int // loads served from local state while open
+	Drains           int // queued degraded saves successfully replayed
 
 	QueuedSaves     int // saves accepted into a per-document pipeline queue
 	QueueCoalesced  int // saves folded into another queue entry (at max depth, or at send)
@@ -204,16 +204,6 @@ func New(base http.RoundTripper, passwords PasswordProvider, opts ...Option) *Ex
 		e.saveToken = crypt.CryptoNonceSource{}.Nonce64()
 	}
 	return e
-}
-
-// NewWithMitigator builds an extension with a positional mitigator.
-//
-// Deprecated: use New with the WithMitigator option.
-func NewWithMitigator(base http.RoundTripper, passwords PasswordProvider, mitigator *covert.Mitigator, opts ...Option) *Extension {
-	if mitigator != nil {
-		opts = append([]Option{WithMitigator(mitigator)}, opts...)
-	}
-	return New(base, passwords, opts...)
 }
 
 // Client returns an http.Client routed through the extension.

@@ -338,10 +338,10 @@ func TestPerDocumentEditors(t *testing.T) {
 	if err := c2.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if h.ext.Editor("doc-a") == nil || h.ext.Editor("doc-b") == nil {
+	if h.ext.Session("doc-a").Editor() == nil || h.ext.Session("doc-b").Editor() == nil {
 		t.Fatal("missing per-document editors")
 	}
-	if h.ext.Editor("doc-a") == h.ext.Editor("doc-b") {
+	if h.ext.Session("doc-a").Editor() == h.ext.Session("doc-b").Editor() {
 		t.Error("documents share an editor")
 	}
 	sA, _, _ := h.server.Content(context.Background(), "doc-a")

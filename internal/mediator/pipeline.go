@@ -1121,6 +1121,14 @@ func (e *Extension) closeSession(docID string) error {
 		return nil
 	}
 	sess.mu.Lock()
+	// The breaker and degraded shadow leave with the session: take back
+	// their share of the process-wide gauges. Resetting the state keeps a
+	// request still holding this session from taking it back twice.
+	if sess.brk.state == brkOpen {
+		metricBreakerOpenDocs.Add(-1)
+		sess.brk.state = brkClosed
+	}
+	e.clearShadowLocked(&sess.brk)
 	var dropped int
 	if pl := sess.pl; pl != nil && !pl.closed {
 		dropped = len(pl.queue)

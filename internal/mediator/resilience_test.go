@@ -13,6 +13,7 @@ import (
 	"privedit/internal/core"
 	"privedit/internal/crypt"
 	"privedit/internal/gdocs"
+	"privedit/internal/obs"
 )
 
 // faultyTransport is a scriptable base transport: it can fail the next N
@@ -240,7 +241,7 @@ func TestBreakerTripsIntoDegradedModeAndDrains(t *testing.T) {
 	if got := h.ext.Stats().BreakerTrips; got != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", got)
 	}
-	if !h.ext.Degraded(h.client.DocID()) {
+	if !h.ext.Session(h.client.DocID()).Degraded() {
 		t.Fatal("extension not degraded after breaker trip")
 	}
 
@@ -296,7 +297,7 @@ func TestBreakerTripsIntoDegradedModeAndDrains(t *testing.T) {
 	if h.client.Degraded() {
 		t.Error("client still degraded after recovery")
 	}
-	if h.ext.Degraded(h.client.DocID()) {
+	if h.ext.Session(h.client.DocID()).Degraded() {
 		t.Error("extension still degraded after drain")
 	}
 	s = h.ext.Stats()
@@ -353,6 +354,51 @@ func TestDegradedUnavailableWithoutLocalState(t *testing.T) {
 	}
 	if got := h.ext.Stats().DegradedLoads; got != 0 {
 		t.Errorf("DegradedLoads = %d for a refused load", got)
+	}
+}
+
+// TestCloseReleasesBreakerGauges closes a session whose breaker is open
+// and whose degraded save is still queued: both process-wide gauges must
+// drop back, since the session that held them is gone.
+func TestCloseReleasesBreakerGauges(t *testing.T) {
+	was := obs.Default.Enabled()
+	obs.Enable()
+	t.Cleanup(func() { obs.Default.SetEnabled(was) })
+	open0, queued0 := metricBreakerOpenDocs.Value(), metricQueuedSaves.Value()
+
+	h := newResilientHarness(t, Resilience{
+		Retry:   fastRetry(1),
+		Breaker: BreakerPolicy{TripAfter: 1, Cooldown: time.Hour},
+	})
+	h.seed(t, "draft")
+	h.flaky.set(func(f *faultyTransport) { f.down = true })
+	if err := h.client.Load(); err == nil {
+		t.Fatal("load succeeded through a dead transport")
+	}
+	if err := h.client.Insert(5, " two"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.client.Save(); err != nil {
+		t.Fatalf("degraded save: %v", err)
+	}
+	if got := metricBreakerOpenDocs.Value() - open0; got != 1 {
+		t.Fatalf("breaker_open_docs rose by %v after the trip, want 1", got)
+	}
+	if got := metricQueuedSaves.Value() - queued0; got != 1 {
+		t.Fatalf("queued_saves rose by %v after a degraded save, want 1", got)
+	}
+
+	if err := h.ext.Session(h.client.DocID()).Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := h.ext.SessionCount(); n != 0 {
+		t.Fatalf("SessionCount = %d after Close", n)
+	}
+	if got := metricBreakerOpenDocs.Value() - open0; got != 0 {
+		t.Errorf("breaker_open_docs off by %v after Close", got)
+	}
+	if got := metricQueuedSaves.Value() - queued0; got != 0 {
+		t.Errorf("queued_saves off by %v after Close", got)
 	}
 }
 

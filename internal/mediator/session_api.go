@@ -1,7 +1,6 @@
-// The Session handle: the public per-document API of the extension.
-// Callers that previously reached for Extension.Editor / Degraded /
-// Sessions get a first-class object instead, with the pipeline's
-// lifecycle operations (Flush, Close) and a per-document stats view.
+// The Session handle: the public per-document API of the extension —
+// the document's Editor and degraded state, the pipeline's lifecycle
+// operations (Flush, Close) and a per-document stats view.
 package mediator
 
 import (
@@ -101,26 +100,4 @@ func (s *Session) Stats() SessionStats {
 	st.LocalVersion = pl.sv
 	st.ServerVersion = pl.srvVersion
 	return st
-}
-
-// Editor exposes the per-document encryption state.
-//
-// Deprecated: use Session(docID).Editor().
-func (e *Extension) Editor(docID string) *core.Editor {
-	return e.Session(docID).Editor()
-}
-
-// Sessions returns the number of per-document sessions currently managed.
-//
-// Deprecated: use SessionCount.
-func (e *Extension) Sessions() int {
-	return e.SessionCount()
-}
-
-// Degraded reports whether the document's circuit breaker is currently
-// open or it has queued saves awaiting the server.
-//
-// Deprecated: use Session(docID).Degraded().
-func (e *Extension) Degraded(docID string) bool {
-	return e.Session(docID).Degraded()
 }
